@@ -2,7 +2,8 @@
 # Offline CI gate: formatting, lints, build, and the test suite.
 #
 #   ./ci/check.sh          # fmt + clippy + build + quick tests
-#   ./ci/check.sh --full   # also the release build and full test suite
+#   ./ci/check.sh --full   # also the release build, exp smoke runs and the
+#                          # benchmark's determinism test
 #
 # Everything runs with --offline; the workspace has no external
 # dependencies, so no network access is ever required.
@@ -218,6 +219,11 @@ if [[ $full -eq 1 ]]; then
     test -s "$tmp/metrics.json"
     test -s "$tmp/fig1_postmortem.jsonl"
     test -s "$tmp/faults.csv"
+    echo "==> turnbench determinism"
+    # Same seed, same work: an engine change that breaks same-seed
+    # reproducibility of the benchmark's counters or simulated results
+    # fails here.
+    cargo test --release --offline --manifest-path turnbench/Cargo.toml
 fi
 
 echo "OK"

@@ -8,7 +8,7 @@ use crate::obs::{
 use crate::profile::{Phase, PhaseProfiler};
 use crate::report::BlameTotals;
 use crate::{
-    ChoiceScript, FaultTarget, InputPolicy, LengthDist, OutputPolicy, Packet, PacketId,
+    ChoiceScript, FaultTarget, InputPolicy, LengthDist, OutputPolicy, Packet, PacketId, RouteMemo,
     RunTermination, SimConfig, SimReport,
 };
 use std::collections::VecDeque;
@@ -37,6 +37,83 @@ struct Emitting {
     sent: u32,
 }
 
+/// Capacity of [`Candidates`]: one output per direction, and a
+/// [`turnroute_topology::DirSet`] holds at most 32 directions.
+const MAX_DIRS: usize = 32;
+
+/// Candidate output channels of one waiting head, in direction order,
+/// each packed as `slot | PRODUCTIVE`. Every candidate is a network
+/// channel of the head's router, so its direction is
+/// `slot % dirs_per_node`. The same packing is what the route memo
+/// stores.
+#[derive(Clone, Copy)]
+struct Candidates {
+    len: usize,
+    packed: [u32; MAX_DIRS],
+}
+
+impl Candidates {
+    /// Set on a candidate that reduces the distance to the destination.
+    const PRODUCTIVE: u32 = 1 << 31;
+
+    fn from_packed(packed: &[u32]) -> Candidates {
+        let mut c = Candidates {
+            len: packed.len(),
+            packed: [0; MAX_DIRS],
+        };
+        c.packed[..packed.len()].copy_from_slice(packed);
+        c
+    }
+
+    fn push(&mut self, slot: usize, productive: bool) {
+        debug_assert!(
+            slot < Self::PRODUCTIVE as usize - 1,
+            "slot collides with the packing"
+        );
+        self.packed[self.len] = slot as u32 | if productive { Self::PRODUCTIVE } else { 0 };
+        self.len += 1;
+    }
+
+    fn as_packed(&self) -> &[u32] {
+        &self.packed[..self.len]
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The `i`-th candidate as `(slot, productive)`.
+    fn get(&self, i: usize) -> (usize, bool) {
+        let p = self.packed[i];
+        ((p & !Self::PRODUCTIVE) as usize, p & Self::PRODUCTIVE != 0)
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (usize, bool)> + '_ {
+        (0..self.len).map(|i| self.get(i))
+    }
+
+    /// Keep the candidates `keep` accepts, in order.
+    fn retain(&mut self, mut keep: impl FnMut(usize, bool) -> bool) {
+        let mut n = 0;
+        for i in 0..self.len {
+            let (slot, productive) = self.get(i);
+            if keep(slot, productive) {
+                self.packed[n] = self.packed[i];
+                n += 1;
+            }
+        }
+        self.len = n;
+    }
+
+    /// Drop the unproductive candidates if any productive one remains:
+    /// misroute only when necessary.
+    fn prefer_productive(&mut self) {
+        if self.iter().any(|(_, p)| p) {
+            self.retain(|_, p| p);
+        }
+    }
+}
+
 /// What arbitration can do for the head flit waiting at one input
 /// channel, before contention is considered: bind the ejection channel,
 /// wait out a healing hold, or choose among the turn-legal healthy
@@ -49,10 +126,9 @@ enum RouteDecision {
     Eject(usize),
     /// The input router is held by the healing driver; grant nothing.
     Hold,
-    /// The arrival direction and every candidate `(dir, slot,
-    /// productive)` output — turn-legal, existing, healthy, and within
-    /// the misroute budget — before the free-channel filter.
-    Candidates(Option<Direction>, Vec<(Direction, usize, bool)>),
+    /// Every candidate output — turn-legal, existing, healthy, and
+    /// within the misroute budget — before the free-channel filter.
+    Candidates(Candidates),
 }
 
 /// A complete copy of one engine's mutable state, produced by
@@ -201,6 +277,10 @@ pub struct Sim<'a, O: SimObserver = NoopObserver> {
     assigned_out: Vec<u32>,
     /// Cycle the current head flit arrived in this buffer (for FCFS).
     head_since: Vec<u64>,
+    /// Each input channel's [`Candidates`] for the head waiting there,
+    /// keyed on `(packet, head_since, epoch)`. The epoch is bumped by
+    /// every change to faults or quarantines and by `restore`.
+    route_memo: RouteMemo,
 
     // --- sources ---
     packets: Vec<Packet>,
@@ -343,6 +423,7 @@ impl<'a, O: SimObserver> Sim<'a, O> {
             buf: vec![VecDeque::new(); num_channels],
             assigned_out: vec![NONE_U32; num_channels],
             head_since: vec![0; num_channels],
+            route_memo: RouteMemo::new(ej_base, dirs_per_node),
             packets: Vec::new(),
             paths: Vec::new(),
             queues: vec![VecDeque::new(); num_nodes],
@@ -454,6 +535,7 @@ impl<'a, O: SimObserver> Sim<'a, O> {
         assert!(self.exists[slot], "no channel at {node} {dir}");
         self.faults_possible = true;
         self.shift_fault(slot, true);
+        self.route_memo.invalidate();
     }
 
     /// Pause (`on`) or resume output arbitration at `node`. A held router
@@ -480,6 +562,7 @@ impl<'a, O: SimObserver> Sim<'a, O> {
         assert!(self.exists[slot], "no channel at {node} {dir}");
         self.healing_possible = true;
         self.quarantined[slot] = on;
+        self.route_memo.invalidate();
     }
 
     /// Whether the channel leaving `node` in `dir` is quarantined.
@@ -794,6 +877,7 @@ impl<'a, O: SimObserver> Sim<'a, O> {
         {
             let ev = self.fault_events[self.fault_cursor];
             self.fault_cursor += 1;
+            self.route_memo.invalidate();
             match ev.target {
                 FaultTarget::Link { node, dir } => {
                     let slot = self.topo.channel_slot(node, dir);
@@ -961,11 +1045,10 @@ impl<'a, O: SimObserver> Sim<'a, O> {
         self.arbitrate_heads(heads);
     }
 
-    /// First half of phase A: collect input channels whose buffered flit
-    /// is an unassigned head and order them under the input policy. The
-    /// returned vec is the engine's scratch buffer; hand it back via
-    /// [`Sim::arbitrate_heads`].
-    fn collect_route_heads(&mut self) -> Vec<u32> {
+    /// Input channels whose buffered flit is an unassigned head past its
+    /// routing delay, in slot order. The returned vec is the engine's
+    /// scratch buffer; hand it back to `scratch_heads` when done.
+    fn routable_heads(&mut self) -> Vec<u32> {
         let mut heads = std::mem::take(&mut self.scratch_heads);
         heads.clear();
         for slot in 0..self.ej_base {
@@ -980,6 +1063,15 @@ impl<'a, O: SimObserver> Sim<'a, O> {
                 heads.push(slot as u32);
             }
         }
+        heads
+    }
+
+    /// First half of phase A: collect input channels whose buffered flit
+    /// is an unassigned head and order them under the input policy. The
+    /// returned vec is the engine's scratch buffer; hand it back via
+    /// [`Sim::arbitrate_heads`].
+    fn collect_route_heads(&mut self) -> Vec<u32> {
+        let mut heads = self.routable_heads();
         match self.cfg.input_policy {
             InputPolicy::Fcfs => {
                 heads.sort_unstable_by_key(|&c| (self.head_since[c as usize], c));
@@ -996,8 +1088,8 @@ impl<'a, O: SimObserver> Sim<'a, O> {
         heads
     }
 
-    /// Second half of phase A: compute routes and grant output channels
-    /// to the selected heads, in order.
+    /// Second half of phase A: grant output channels to the selected
+    /// heads, in order.
     fn arbitrate_heads(&mut self, heads: Vec<u32>) {
         for &c in &heads {
             self.try_assign(c as usize);
@@ -1014,29 +1106,42 @@ impl<'a, O: SimObserver> Sim<'a, O> {
             || (self.healing_possible && self.quarantined[slot])
     }
 
-    /// Everything arbitration knows about the head at input channel `c`
-    /// before contention: ejection binding, healing hold, or the full
-    /// candidate list. This is the single copy of the routing semantics
-    /// that [`try_assign`](Sim::try_assign), the scripted variant, and
-    /// [`wanted_output`](Sim::wanted_output) all consume.
-    fn route_decision(&self, c: usize) -> RouteDecision {
-        let flit = *self.buf[c].front().expect("head present");
-        let pkt = self.packets[flit.packet as usize];
-        let v = NodeId(self.input_router[c]);
+    /// The arrival direction of a head waiting at input channel `c`
+    /// (`None` on an injection channel).
+    fn arrived_dir(&self, c: usize) -> Option<Direction> {
+        (!self.is_injection(c)).then(|| self.dir_of_network_slot(c))
+    }
+
+    /// The decisions that do not route: ejection at the destination and
+    /// a healing hold. `None` means the head needs its candidate list.
+    fn route_gate(&self, c: usize) -> Option<RouteDecision> {
+        let flit = self.buf[c].front().expect("head present");
+        let v = self.input_router[c] as usize;
         // Destination reached: bind to the ejection channel.
-        if v == pkt.dst {
-            return RouteDecision::Eject(self.ej_slot(v.index()));
+        if v == self.packets[flit.packet as usize].dst.index() {
+            return Some(RouteDecision::Eject(self.ej_slot(v)));
         }
         // A held router grants nothing while its region re-proves;
         // ejection (above) still drains delivered traffic.
-        if self.healing_possible && self.held[v.index()] {
-            return RouteDecision::Hold;
+        if self.healing_possible && self.held[v] {
+            return Some(RouteDecision::Hold);
         }
-        let arrived = if self.is_injection(c) {
-            None
-        } else {
-            Some(self.dir_of_network_slot(c))
-        };
+        None
+    }
+
+    /// Everything arbitration knows about the head at input channel `c`
+    /// before contention: ejection binding, healing hold, or the full
+    /// candidate list. This is the single copy of the routing semantics;
+    /// arbitration reads it through [`Sim::route_memoized`], and
+    /// [`wanted_output`](Sim::wanted_output) calls it directly.
+    fn route_decision(&self, c: usize) -> RouteDecision {
+        if let Some(decision) = self.route_gate(c) {
+            return decision;
+        }
+        let flit = *self.buf[c].front().expect("head present");
+        let pkt = self.packets[flit.packet as usize];
+        let v = NodeId(self.input_router[c]);
+        let arrived = self.arrived_dir(c);
         let dirs = self.routing.route(self.topo, v, pkt.dst, arrived);
         // Under faults every output — primary or fallback — is filtered
         // through the declared turn set: misrouting around a failure can
@@ -1056,18 +1161,20 @@ impl<'a, O: SimObserver> Sim<'a, O> {
         // within the misroute budget when the routing function is
         // nonminimal.
         let here = self.topo.min_hops(v, pkt.dst);
-        let mut candidates: Vec<(Direction, usize, bool)> = Vec::with_capacity(4);
-        for dir in dirs.iter() {
+        let mut candidates = Candidates::from_packed(&[]);
+        let offer = |dir: Direction, candidates: &mut Candidates| {
             if legal_bits & (1 << dir.index()) == 0 {
-                continue;
+                return;
             }
             let slot = self.topo.channel_slot(v, dir);
             if !self.exists[slot] || self.unusable(slot) {
-                continue;
+                return;
             }
             let next = self.topo.neighbor(v, dir).expect("existing channel");
-            let productive = self.topo.min_hops(next, pkt.dst) < here;
-            candidates.push((dir, slot, productive));
+            candidates.push(slot, self.topo.min_hops(next, pkt.dst) < here);
+        };
+        for dir in dirs.iter() {
+            offer(dir, &mut candidates);
         }
         // Misroute around the fault: when every output the algorithm
         // offers is broken, take any healthy turn-legal channel instead.
@@ -1075,44 +1182,53 @@ impl<'a, O: SimObserver> Sim<'a, O> {
         // misroute budget.
         if candidates.is_empty() && self.faults_possible && self.turn_filter.is_some() {
             for dir_idx in 0..self.dirs_per_node {
-                if legal_bits & (1 << dir_idx) == 0 {
-                    continue;
-                }
-                let dir = Direction::from_index(dir_idx);
-                let slot = self.topo.channel_slot(v, dir);
-                if !self.exists[slot] || self.unusable(slot) {
-                    continue;
-                }
-                let next = self.topo.neighbor(v, dir).expect("existing channel");
-                let productive = self.topo.min_hops(next, pkt.dst) < here;
-                candidates.push((dir, slot, productive));
+                offer(Direction::from_index(dir_idx), &mut candidates);
             }
         }
-        if !self.routing.is_minimal()
-            && pkt.misroutes >= self.cfg.misroute_budget
-            && candidates.iter().any(|&(_, _, p)| p)
-        {
-            candidates.retain(|&(_, _, p)| p);
+        if !self.routing.is_minimal() && pkt.misroutes >= self.cfg.misroute_budget {
+            candidates.prefer_productive();
         }
-        RouteDecision::Candidates(arrived, candidates)
+        RouteDecision::Candidates(candidates)
+    }
+
+    /// [`Sim::route_decision`] for arbitration, with the candidate list
+    /// computed once per header arrival.
+    ///
+    /// The ejection and hold checks run first on every call, as they are
+    /// cheap and the hold changes independently of the memo key. The
+    /// candidate list is a function of the router, the destination, the
+    /// arrival direction and the packet's misroute count — all fixed
+    /// while one header waits at one channel — plus the fault and
+    /// quarantine state, whose every change bumps the memo's epoch. So a
+    /// memo hit returns exactly what `route_decision` would compute.
+    fn route_memoized(&mut self, c: usize) -> RouteDecision {
+        if let Some(decision) = self.route_gate(c) {
+            return decision;
+        }
+        let packet = self.buf[c].front().expect("head present").packet;
+        let since = self.head_since[c];
+        if let Some(packed) = self.route_memo.get(c, packet, since) {
+            return RouteDecision::Candidates(Candidates::from_packed(packed));
+        }
+        let decision = self.route_decision(c);
+        if let RouteDecision::Candidates(candidates) = &decision {
+            self.route_memo
+                .insert(c, packet, since, candidates.as_packed().iter().copied());
+        }
+        decision
     }
 
     /// Commit one granted output: channel bindings, misroute marking,
     /// packet accounting, path recording, and observer hooks.
-    fn commit_grant(
-        &mut self,
-        c: usize,
-        arrived: Option<Direction>,
-        pick: (Direction, usize, bool),
-    ) {
+    fn commit_grant(&mut self, c: usize, (slot, productive): (usize, bool)) {
         let packet = self.buf[c].front().expect("head present").packet;
         let v = NodeId(self.input_router[c]);
-        let (dir, slot, productive) = pick;
+        let dir = self.dir_of_network_slot(slot);
         self.assigned_out[c] = slot as u32;
         self.owner[slot] = packet;
         self.misroute_assigned[c] = !productive;
         if O::ENABLED {
-            if let Some(arr) = arrived {
+            if let Some(arr) = self.arrived_dir(c) {
                 self.obs
                     .on_turn(self.now, PacketId(packet), v, Turn::new(arr, dir));
             }
@@ -1143,33 +1259,31 @@ impl<'a, O: SimObserver> Sim<'a, O> {
         }
     }
 
+    /// The candidates a head may take this cycle: free channels only, and
+    /// misroute only when necessary — if any productive channel is free,
+    /// unproductive ones are not taken.
+    fn free_candidates(&self, mut candidates: Candidates) -> Candidates {
+        candidates.retain(|slot, _| self.owner[slot] == NONE_U32);
+        candidates.prefer_productive();
+        candidates
+    }
+
     fn try_assign(&mut self, c: usize) {
-        match self.route_decision(c) {
+        match self.route_memoized(c) {
             RouteDecision::Eject(ej) => self.try_eject(c, ej),
             RouteDecision::Hold => {}
-            RouteDecision::Candidates(arrived, mut candidates) => {
-                // Free channels only, and misroute only when necessary: if
-                // any productive channel is free, unproductive ones are
-                // not taken.
-                candidates.retain(|&(_, slot, _)| self.owner[slot] == NONE_U32);
-                if candidates.iter().any(|&(_, _, p)| p) {
-                    candidates.retain(|&(_, _, p)| p);
-                }
-                if candidates.is_empty() {
+            RouteDecision::Candidates(candidates) => {
+                let free = self.free_candidates(candidates);
+                if free.is_empty() {
                     return;
                 }
+                let dir_of = |(slot, _): &(usize, bool)| slot % self.dirs_per_node;
                 let pick = match self.cfg.output_policy {
-                    OutputPolicy::LowestDim => *candidates
-                        .iter()
-                        .min_by_key(|&&(dir, _, _)| dir.index())
-                        .expect("nonempty"),
-                    OutputPolicy::HighestDim => *candidates
-                        .iter()
-                        .max_by_key(|&&(dir, _, _)| dir.index())
-                        .expect("nonempty"),
-                    OutputPolicy::Random => candidates[self.rng.gen_range(0..candidates.len())],
+                    OutputPolicy::LowestDim => free.iter().min_by_key(dir_of).expect("nonempty"),
+                    OutputPolicy::HighestDim => free.iter().max_by_key(dir_of).expect("nonempty"),
+                    OutputPolicy::Random => free.get(self.rng.gen_range(0..free.len)),
                 };
-                self.commit_grant(c, arrived, pick);
+                self.commit_grant(c, pick);
             }
         }
     }
@@ -1215,18 +1329,7 @@ impl<'a, O: SimObserver> Sim<'a, O> {
     /// [`Sim::collect_route_heads`] does, then serve them per router in a
     /// script-chosen order with script-chosen output picks.
     fn assign_outputs_scripted(&mut self, script: &mut ChoiceScript) {
-        let mut heads = std::mem::take(&mut self.scratch_heads);
-        heads.clear();
-        for slot in 0..self.ej_base {
-            if !self.exists[slot] || self.assigned_out[slot] != NONE_U32 {
-                continue;
-            }
-            if matches!(self.buf[slot].front(), Some(f) if f.is_head)
-                && self.now > self.head_since[slot] + self.cfg.routing_delay
-            {
-                heads.push(slot as u32);
-            }
-        }
+        let mut heads = self.routable_heads();
         heads.sort_unstable_by_key(|&c| (self.input_router[c as usize], c));
         let mut i = 0;
         while i < heads.len() {
@@ -1235,32 +1338,31 @@ impl<'a, O: SimObserver> Sim<'a, O> {
             while j < heads.len() && self.input_router[heads[j] as usize] == router {
                 j += 1;
             }
-            let mut remaining: Vec<u32> = heads[i..j].to_vec();
-            while !remaining.is_empty() {
-                let k = script.decide(remaining.len());
-                let c = remaining.remove(k);
-                self.try_assign_scripted(c as usize, script);
+            // Serve the router's heads in script order. Rotating the pick
+            // to the front keeps the unserved rest of `heads[i..j]` in its
+            // original relative order.
+            while i < j {
+                let k = script.decide(j - i);
+                heads[i..=i + k].rotate_right(1);
+                self.try_assign_scripted(heads[i] as usize, script);
+                i += 1;
             }
-            i = j;
         }
         self.scratch_heads = heads;
     }
 
     /// [`Sim::try_assign`] with the output pick delegated to the oracle.
     fn try_assign_scripted(&mut self, c: usize, script: &mut ChoiceScript) {
-        match self.route_decision(c) {
+        match self.route_memoized(c) {
             RouteDecision::Eject(ej) => self.try_eject(c, ej),
             RouteDecision::Hold => {}
-            RouteDecision::Candidates(arrived, mut candidates) => {
-                candidates.retain(|&(_, slot, _)| self.owner[slot] == NONE_U32);
-                if candidates.iter().any(|&(_, _, p)| p) {
-                    candidates.retain(|&(_, _, p)| p);
-                }
-                if candidates.is_empty() {
+            RouteDecision::Candidates(candidates) => {
+                let free = self.free_candidates(candidates);
+                if free.is_empty() {
                     return;
                 }
-                let pick = candidates[script.decide(candidates.len())];
-                self.commit_grant(c, arrived, pick);
+                let pick = free.get(script.decide(free.len));
+                self.commit_grant(c, pick);
             }
         }
     }
@@ -1594,19 +1696,16 @@ impl<'a, O: SimObserver> Sim<'a, O> {
             RouteDecision::Eject(ej) => Some(ej),
             // Arbitration paused: the head waits on the hold.
             RouteDecision::Hold => None,
-            RouteDecision::Candidates(_, mut candidates) => {
-                if candidates.iter().any(|&(_, _, p)| p) {
-                    candidates.retain(|&(_, _, p)| p);
-                }
+            RouteDecision::Candidates(mut candidates) => {
+                candidates.prefer_productive();
+                let dir_of = |(slot, _): &(usize, bool)| slot % self.dirs_per_node;
                 let pick = match self.cfg.output_policy {
-                    OutputPolicy::HighestDim => {
-                        candidates.iter().max_by_key(|&&(dir, _, _)| dir.index())
-                    }
+                    OutputPolicy::HighestDim => candidates.iter().max_by_key(dir_of),
                     OutputPolicy::LowestDim | OutputPolicy::Random => {
-                        candidates.iter().min_by_key(|&&(dir, _, _)| dir.index())
+                        candidates.iter().min_by_key(dir_of)
                     }
                 };
-                pick.map(|&(_, slot, _)| slot)
+                pick.map(|(slot, _)| slot)
             }
         }
     }
@@ -1720,6 +1819,7 @@ impl<'a, O: SimObserver> Sim<'a, O> {
         self.deadlocked = snap.deadlocked;
         self.occupied_buffers = snap.occupied_buffers;
         self.total_stall_cycles = snap.total_stall_cycles;
+        self.route_memo.invalidate();
     }
 
     // ---- model-checker state views ----------------------------------
@@ -2367,6 +2467,110 @@ mod tests {
             sim.step();
         }
         assert_eq!(sim.report(), plain, "restored run diverged");
+    }
+
+    #[test]
+    fn fault_set_while_a_head_waits_reroutes_it() {
+        // The victim's head waits at (1,0) for the east channel a long
+        // blocker worm holds; the channel then fails. The head's memoized
+        // candidates predate the fault, so `set_fault` must invalidate
+        // them: the head misroutes around the failure instead of taking
+        // the broken channel once the blocker's tail frees it.
+        let mesh = Mesh::new_2d(4, 4);
+        let routing = mesh2d::west_first(RoutingMode::Minimal);
+        let pattern = Uniform::new();
+        let cfg = SimConfig::builder()
+            .injection_rate(0.0)
+            .deadlock_threshold(500)
+            .record_paths(true)
+            .build();
+        let mut sim = Sim::new(&mesh, &routing, &pattern, cfg);
+        let at = |x, y| mesh.node_at_coords(&[x, y]);
+        sim.inject_packet(at(0, 0), at(3, 0), 30);
+        for _ in 0..4 {
+            sim.step();
+        }
+        let victim = sim.inject_packet(at(1, 0), at(3, 0), 4);
+        for _ in 0..4 {
+            sim.step();
+        }
+        assert_eq!(
+            sim.packets()[victim.index()].hops,
+            0,
+            "victim must be waiting"
+        );
+        sim.set_fault(at(1, 0), Direction::EAST);
+        assert!(sim.run_until_idle(500));
+        let p = sim.packets()[victim.index()];
+        assert!(p.delivered.is_some());
+        assert_ne!(
+            sim.packet_path(victim)[1],
+            at(2, 0),
+            "took the failed channel"
+        );
+        assert!(p.misroutes > 0);
+    }
+
+    /// One perturbation for the restore-leak test: a packet from `src`
+    /// to `dst`, an optional quarantine, then `cycles` scripted steps
+    /// with every choice set to `digit`.
+    fn scripted_leg(
+        sim: &mut Sim<'_>,
+        (src, dst): (NodeId, NodeId),
+        quarantine: Option<Direction>,
+        digit: u32,
+        cycles: usize,
+    ) {
+        sim.inject_packet(src, dst, 5);
+        if let Some(dir) = quarantine {
+            sim.set_quarantine(src, dir, true);
+        }
+        for _ in 0..cycles {
+            sim.step_with_choices(&mut ChoiceScript::new(vec![digit; 16]));
+        }
+    }
+
+    #[test]
+    fn route_memo_does_not_leak_across_restore() {
+        // Warm the memo with waiting heads and snapshot. Leg A sends the
+        // next packet id from (2,2) north-east under a quarantine and
+        // script A; after restoring, leg B sends the same packet id from
+        // the same injection channel, at the same cycle, west under
+        // script B. A memo entry surviving the restore would hand B's
+        // header A's candidates, so B must end exactly where a fresh
+        // engine restored from the snapshot ends.
+        let mesh = Mesh::new_2d(4, 4);
+        let routing = mesh2d::west_first(RoutingMode::Minimal);
+        let pattern = Uniform::new();
+        let at = |x, y| mesh.node_at_coords(&[x, y]);
+        let mut sim = Sim::new(&mesh, &routing, &pattern, quiet_cfg());
+        for (src, dst) in [
+            (at(0, 0), at(3, 3)),
+            (at(1, 0), at(3, 2)),
+            (at(0, 1), at(2, 3)),
+            (at(1, 1), at(3, 3)),
+        ] {
+            sim.inject_packet(src, dst, 6);
+        }
+        for _ in 0..4 {
+            sim.step();
+        }
+        let snap = sim.snapshot();
+        let leg_a = (at(2, 2), at(3, 3));
+        let leg_b = (at(2, 2), at(0, 2));
+        scripted_leg(&mut sim, leg_a, Some(Direction::EAST), 1, 8);
+        sim.restore(&snap);
+        scripted_leg(&mut sim, leg_b, None, 0, 8);
+        let mut fresh = Sim::new(&mesh, &routing, &pattern, quiet_cfg());
+        fresh.restore(&snap);
+        scripted_leg(&mut fresh, leg_b, None, 0, 8);
+        assert_eq!(
+            sim.snapshot(),
+            fresh.snapshot(),
+            "memo leaked across restore"
+        );
+        let b = sim.packets().last().expect("leg B packet");
+        assert!(b.hops > 0, "leg B's header must have been routed");
     }
 
     #[test]

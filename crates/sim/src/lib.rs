@@ -53,6 +53,7 @@ mod config;
 mod engine;
 mod fault;
 pub mod harness;
+mod memo;
 pub mod obs;
 mod packet;
 mod policies;
@@ -63,6 +64,7 @@ pub use choice::ChoiceScript;
 pub use config::{LengthDist, SimConfig, SimConfigBuilder, CYCLES_PER_MICROSEC};
 pub use engine::{Sim, SimSnapshot};
 pub use fault::{Fault, FaultEvent, FaultPlan, FaultTarget};
+pub use memo::RouteMemo;
 pub use obs::{
     Alert, AlertKind, DetectorBank, DetectorConfig, FrameCollector, HealEvent, InvariantObserver,
     InvariantSummary, NoopObserver, PacketBlame, SimObserver, Telemetry, TelemetryFrame,

@@ -13,7 +13,7 @@ use turnroute_rng::rngs::StdRng;
 use turnroute_rng::{Rng, SeedableRng};
 use turnroute_sim::obs::{ChannelLayout, PacketBlame, StallReason, StreamingHistogram};
 use turnroute_sim::{
-    BlameTotals, ChoiceScript, FaultTarget, LengthDist, NoopObserver, Packet, PacketId,
+    BlameTotals, ChoiceScript, FaultTarget, LengthDist, NoopObserver, Packet, PacketId, RouteMemo,
     RunTermination, SimConfig, SimObserver, SimReport,
 };
 use turnroute_topology::{Direction, Mesh, NodeId, Topology};
@@ -148,6 +148,13 @@ pub struct VcSim<'a, O: SimObserver = NoopObserver> {
     buf: Vec<Option<BufFlit>>,
     assigned_out: Vec<u32>,
     head_since: Vec<u64>,
+    /// Each input channel's offered slots (`routing.route` in slot form)
+    /// for the head waiting there, keyed on `(packet, head_since,
+    /// epoch)`. Faults are filtered at use time, so only `restore` bumps
+    /// the epoch.
+    route_memo: RouteMemo,
+    /// Routable heads of the current cycle, reused across cycles.
+    scratch_heads: Vec<u32>,
 
     packets: Vec<Packet>,
     queues: Vec<VecDeque<u32>>,
@@ -268,6 +275,8 @@ impl<'a, O: SimObserver> VcSim<'a, O> {
             buf: vec![None; num_channels],
             assigned_out: vec![NONE_U32; num_channels],
             head_since: vec![0; num_channels],
+            route_memo: RouteMemo::new(ej_base, slots_per_node),
+            scratch_heads: Vec::new(),
             packets: Vec::new(),
             queues: vec![VecDeque::new(); num_nodes],
             emitting: vec![None; num_nodes],
@@ -683,8 +692,12 @@ impl<'a, O: SimObserver> VcSim<'a, O> {
         VirtualDirection::new(dir, class)
     }
 
-    fn assign_outputs(&mut self) {
-        let mut heads: Vec<u32> = Vec::new();
+    /// Input channels whose buffered flit is an unassigned head, in slot
+    /// order. The returned vec is the engine's scratch buffer; hand it
+    /// back to `scratch_heads` when done.
+    fn routable_heads(&mut self) -> Vec<u32> {
+        let mut heads = std::mem::take(&mut self.scratch_heads);
+        heads.clear();
         for slot in 0..self.ej_base {
             if !self.exists[slot] || self.assigned_out[slot] != NONE_U32 {
                 continue;
@@ -693,17 +706,28 @@ impl<'a, O: SimObserver> VcSim<'a, O> {
                 heads.push(slot as u32);
             }
         }
-        heads.sort_unstable_by_key(|&c| (self.head_since[c as usize], c));
-        for &c in &heads {
-            self.try_assign(c as usize);
-        }
+        heads
     }
 
-    fn try_assign(&mut self, c: usize) {
+    fn assign_outputs(&mut self) {
+        let mut heads = self.routable_heads();
+        heads.sort_unstable_by_key(|&c| (self.head_since[c as usize], c));
+        for &c in &heads {
+            self.try_assign(c as usize, |_| 0);
+        }
+        self.scratch_heads = heads;
+    }
+
+    /// Grant the head at input channel `c` an output: the ejection
+    /// channel at its destination, otherwise one of the free offered
+    /// virtual channels — `pick(n)` chooses among the `n` free ones in
+    /// routing order (`|_| 0` is the engine's first-free policy). `pick`
+    /// is called only when there is a free channel.
+    fn try_assign(&mut self, c: usize, pick: impl FnOnce(usize) -> usize) {
         let flit = self.buf[c].expect("head present");
-        let pkt = self.packets[flit.packet as usize];
+        let dst = self.packets[flit.packet as usize].dst;
         let v = NodeId(self.input_router[c]);
-        if v == pkt.dst {
+        if v == dst {
             let ej = self.ej_base + v.index();
             if self.owner[ej] == NONE_U32 && !(self.faults_possible && self.faulty[ej]) {
                 self.assigned_out[c] = ej as u32;
@@ -711,26 +735,46 @@ impl<'a, O: SimObserver> VcSim<'a, O> {
             }
             return;
         }
-        let arrived = if c >= self.inj_base {
-            None
-        } else {
-            Some(self.vdir_of_slot(c))
-        };
+        // The offered channels depend only on the router, destination
+        // and arrival channel, so they are routed once per header
+        // arrival.
+        let (packet, since) = (flit.packet, self.head_since[c]);
+        if self.route_memo.get(c, packet, since).is_none() {
+            let arrived = (c < self.inj_base).then(|| self.vdir_of_slot(c));
+            let base = v.index() * self.slots_per_node;
+            let offered = self.routing.route(self.mesh, v, dst, arrived);
+            self.route_memo.insert(
+                c,
+                packet,
+                since,
+                offered.into_iter().map(|vd| {
+                    let slot = base + vd.index_in(self.num_classes);
+                    debug_assert!(self.exists[slot], "offered channel must exist");
+                    slot as u32
+                }),
+            );
+        }
+        let offered = self
+            .route_memo
+            .get(c, packet, since)
+            .expect("memoized above");
         // Faulty channels are simply skipped: removing outputs from the
         // double-y scheme never adds edges to its (acyclic) virtual-channel
         // dependency graph, so deadlock freedom survives any fault
         // pattern; packets with every offered channel down wait for the
         // packet timeout.
-        for vd in self.routing.route(self.mesh, v, pkt.dst, arrived) {
-            let slot = v.index() * self.slots_per_node + vd.index_in(self.num_classes);
-            debug_assert!(self.exists[slot], "offered channel must exist");
-            if self.owner[slot] == NONE_U32 && !(self.faults_possible && self.faulty[slot]) {
-                self.assigned_out[c] = slot as u32;
-                self.owner[slot] = flit.packet;
-                self.packets[flit.packet as usize].hops += 1;
-                return;
-            }
+        let free = |&&slot: &&u32| {
+            self.owner[slot as usize] == NONE_U32
+                && !(self.faults_possible && self.faulty[slot as usize])
+        };
+        let n = offered.iter().filter(free).count();
+        if n == 0 {
+            return;
         }
+        let slot = *offered.iter().filter(free).nth(pick(n)).expect("k < n") as usize;
+        self.assigned_out[c] = slot as u32;
+        self.owner[slot] = packet;
+        self.packets[packet as usize].hops += 1;
     }
 
     // ---- choice-scripted stepping (model checking) ------------------
@@ -770,15 +814,7 @@ impl<'a, O: SimObserver> VcSim<'a, O> {
     /// arbitrations at distinct routers touch disjoint channel state and
     /// commute), served in a script-chosen order.
     fn assign_outputs_scripted(&mut self, script: &mut ChoiceScript) {
-        let mut heads: Vec<u32> = Vec::new();
-        for slot in 0..self.ej_base {
-            if !self.exists[slot] || self.assigned_out[slot] != NONE_U32 {
-                continue;
-            }
-            if matches!(self.buf[slot], Some(f) if f.is_head) {
-                heads.push(slot as u32);
-            }
-        }
+        let mut heads = self.routable_heads();
         heads.sort_unstable_by_key(|&c| (self.input_router[c as usize], c));
         let mut i = 0;
         while i < heads.len() {
@@ -787,51 +823,20 @@ impl<'a, O: SimObserver> VcSim<'a, O> {
             while j < heads.len() && self.input_router[heads[j] as usize] == router {
                 j += 1;
             }
-            let mut remaining: Vec<u32> = heads[i..j].to_vec();
-            while !remaining.is_empty() {
-                let k = script.decide(remaining.len());
-                let c = remaining.remove(k);
-                self.try_assign_scripted(c as usize, script);
-            }
-            i = j;
-        }
-    }
-
-    /// [`VcSim::try_assign`] with the free-VC pick delegated to the
-    /// oracle: instead of the first free offered virtual channel, any of
-    /// them is reachable.
-    fn try_assign_scripted(&mut self, c: usize, script: &mut ChoiceScript) {
-        let flit = self.buf[c].expect("head present");
-        let pkt = self.packets[flit.packet as usize];
-        let v = NodeId(self.input_router[c]);
-        if v == pkt.dst {
-            let ej = self.ej_base + v.index();
-            if self.owner[ej] == NONE_U32 && !(self.faults_possible && self.faulty[ej]) {
-                self.assigned_out[c] = ej as u32;
-                self.owner[ej] = flit.packet;
-            }
-            return;
-        }
-        let arrived = if c >= self.inj_base {
-            None
-        } else {
-            Some(self.vdir_of_slot(c))
-        };
-        let mut free: Vec<usize> = Vec::with_capacity(4);
-        for vd in self.routing.route(self.mesh, v, pkt.dst, arrived) {
-            let slot = v.index() * self.slots_per_node + vd.index_in(self.num_classes);
-            debug_assert!(self.exists[slot], "offered channel must exist");
-            if self.owner[slot] == NONE_U32 && !(self.faults_possible && self.faulty[slot]) {
-                free.push(slot);
+            // Serve the router's heads in script order. Rotating the pick
+            // to the front keeps the unserved rest of `heads[i..j]` in its
+            // original relative order.
+            while i < j {
+                let k = script.decide(j - i);
+                heads[i..=i + k].rotate_right(1);
+                // The free-VC pick is delegated to the oracle: instead of
+                // the first free offered virtual channel, any of them is
+                // reachable.
+                self.try_assign(heads[i] as usize, |n| script.decide(n));
+                i += 1;
             }
         }
-        if free.is_empty() {
-            return;
-        }
-        let slot = free[script.decide(free.len())];
-        self.assigned_out[c] = slot as u32;
-        self.owner[slot] = flit.packet;
-        self.packets[flit.packet as usize].hops += 1;
+        self.scratch_heads = heads;
     }
 
     // ---- snapshot / restore -----------------------------------------
@@ -919,6 +924,7 @@ impl<'a, O: SimObserver> VcSim<'a, O> {
         self.last_move = snap.last_move;
         self.deadlocked = snap.deadlocked;
         self.total_stall_cycles = snap.total_stall_cycles;
+        self.route_memo.invalidate();
     }
 
     // ---- model-checker state views ----------------------------------
@@ -1449,6 +1455,59 @@ mod tests {
             sim.step();
         }
         assert_eq!(sim.report(), plain, "restored run diverged");
+    }
+
+    /// One perturbation for the restore-leak test: a packet from `src`
+    /// to `dst`, then `cycles` scripted steps with every choice set to
+    /// `digit`.
+    fn scripted_leg(sim: &mut VcSim<'_>, (src, dst): (NodeId, NodeId), digit: u32, cycles: usize) {
+        sim.inject_packet(src, dst, 5);
+        for _ in 0..cycles {
+            sim.step_with_choices(&mut ChoiceScript::new(vec![digit; 16]));
+        }
+    }
+
+    #[test]
+    fn route_memo_does_not_leak_across_restore() {
+        // Warm the memo with waiting heads and snapshot. Leg A sends the
+        // next packet id from (2,2) north-east under script A; after
+        // restoring, leg B sends the same packet id from the same
+        // injection channel, at the same cycle, west under script B. A
+        // memo entry surviving the restore would offer B's header A's
+        // virtual channels, so B must end exactly where a fresh engine
+        // restored from the snapshot ends.
+        let mesh = Mesh::new_2d(4, 4);
+        let alg = DoubleYAdaptive::new();
+        let pattern = Uniform::new();
+        let at = |x, y| mesh.node_at_coords(&[x, y]);
+        let mut sim = VcSim::new(&mesh, &alg, &pattern, quiet_cfg());
+        for (src, dst) in [
+            (at(0, 0), at(3, 3)),
+            (at(1, 0), at(3, 2)),
+            (at(0, 1), at(2, 3)),
+            (at(1, 1), at(3, 3)),
+        ] {
+            sim.inject_packet(src, dst, 6);
+        }
+        for _ in 0..4 {
+            sim.step();
+        }
+        let snap = sim.snapshot();
+        let leg_a = (at(2, 2), at(3, 3));
+        let leg_b = (at(2, 2), at(0, 2));
+        scripted_leg(&mut sim, leg_a, 1, 8);
+        sim.restore(&snap);
+        scripted_leg(&mut sim, leg_b, 0, 8);
+        let mut fresh = VcSim::new(&mesh, &alg, &pattern, quiet_cfg());
+        fresh.restore(&snap);
+        scripted_leg(&mut fresh, leg_b, 0, 8);
+        assert_eq!(
+            sim.snapshot(),
+            fresh.snapshot(),
+            "memo leaked across restore"
+        );
+        let b = sim.packets().last().expect("leg B packet");
+        assert!(b.hops > 0, "leg B's header must have been routed");
     }
 
     #[test]
