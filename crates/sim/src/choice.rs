@@ -67,6 +67,43 @@ impl ChoiceScript {
         &self.digits
     }
 
+    /// Serve the routable `heads` of one cycle router by router, in
+    /// router-index order, each router's heads in a script-chosen order:
+    /// `serve(engine, c, script)` arbitrates the head waiting at input
+    /// channel `c`, and `router_of(engine, c)` names the router `c` feeds.
+    ///
+    /// Same-cycle arbitrations at *distinct* routers commute — a router
+    /// only reads and grants ownership of its own output channels and only
+    /// writes the bindings of its own input channels — so exploring
+    /// service orders within each router while fixing the router order is
+    /// a sound partial-order reduction, not a loss of coverage.
+    pub fn serve_per_router<E: ?Sized>(
+        &mut self,
+        engine: &mut E,
+        heads: &mut [u32],
+        router_of: impl Fn(&E, usize) -> u32,
+        mut serve: impl FnMut(&mut E, usize, &mut ChoiceScript),
+    ) {
+        heads.sort_unstable_by_key(|&c| (router_of(engine, c as usize), c));
+        let mut i = 0;
+        while i < heads.len() {
+            let router = router_of(engine, heads[i] as usize);
+            let mut j = i;
+            while j < heads.len() && router_of(engine, heads[j] as usize) == router {
+                j += 1;
+            }
+            // Serve the router's heads in script order. Rotating the pick
+            // to the front keeps the unserved rest of `heads[i..j]` in its
+            // original relative order.
+            while i < j {
+                let k = self.decide(j - i);
+                heads[i..=i + k].rotate_right(1);
+                serve(engine, heads[i] as usize, self);
+                i += 1;
+            }
+        }
+    }
+
     /// The next digit string in odometer order over the decision tree
     /// just observed, or `None` when this execution was the last.
     ///
