@@ -13,22 +13,45 @@ cd "$(dirname "$0")/.."
 full=0
 [[ "${1:-}" == "--full" ]] && full=1
 
-echo "==> cargo fmt --check"
+# Per-gate wall time from bash's SECONDS: `gate NAME` closes the running
+# gate (printing its elapsed seconds) and opens the next; the summary
+# table at the end lists every gate.
+gate_names=()
+gate_secs=()
+gate_name=""
+gate_start=0
+end_gate() {
+    if [[ -n "$gate_name" ]]; then
+        local elapsed=$((SECONDS - gate_start))
+        gate_names+=("$gate_name")
+        gate_secs+=("$elapsed")
+        echo "    ${gate_name}: ${elapsed}s"
+    fi
+    gate_name=""
+}
+gate() {
+    end_gate
+    gate_name="$1"
+    gate_start=$SECONDS
+    echo "==> $1"
+}
+
+gate "cargo fmt --check"
 cargo fmt --all --check
 
-echo "==> cargo clippy -D warnings"
+gate "cargo clippy -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
-echo "==> cargo build"
+gate "cargo build"
 cargo build --workspace --offline
 
-echo "==> cargo test"
+gate "cargo test"
 cargo test --workspace --offline --quiet
 
-echo "==> cargo doc (rustdoc warnings are errors)"
+gate "cargo doc (rustdoc warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --offline --no-deps --quiet
 
-echo "==> turnlint gate"
+gate "turnlint gate"
 # The static-analysis gate: every design-space claim, the algorithm x
 # topology verification matrix, and invariant-sanitized runs of both
 # engines. Then the self-test: injecting a known-bad turn set must make
@@ -47,7 +70,7 @@ if cargo run --offline --quiet -p turnroute-analysis --bin turnlint -- \
 fi
 grep -q "witness" "$lint_tmp/turnlint_bad.log"
 
-echo "==> turnprove gate"
+gate "turnprove gate"
 # The proof-certificate gate: every configuration of the matrix (turn
 # sets, 3D sets, hypercube/torus algorithms, double-y virtual channels,
 # every sweep fault plan) must produce a certificate the independent
@@ -66,7 +89,7 @@ if cargo run --offline --quiet -p turnroute-analysis --bin turnprove -- \
 fi
 grep -q "witness" "$lint_tmp/turnprove_bad.log"
 
-echo "==> turncheck gate"
+gate "turncheck gate"
 # The model-checking gate: drive the production engines through every
 # reachable global state of the small-configuration matrix (quick
 # profile), refute every census-unsafe set with a counterexample that
@@ -91,7 +114,7 @@ if cargo run --offline --quiet -p turnroute-analysis --bin turncheck -- \
 fi
 grep -q "MODEL CHECKING FAILED" "$lint_tmp/turncheck_bad.log"
 
-echo "==> turnsynth gate"
+gate "turnsynth gate"
 # The synthesis gate: every cyclic configuration of the matrix must get a
 # synthesized escape/adaptive VC assignment whose certificate the
 # independent checker accepts, byte-stable across reruns, with the
@@ -114,7 +137,7 @@ fi
 grep -q "checker rejected" "$lint_tmp/turnsynth_bad.log"
 grep -q "self-test" "$lint_tmp/turnsynth_bad.log"
 
-echo "==> turntrace gate"
+gate "turntrace gate"
 # The observability gate: recording the canonical scenario twice with
 # the same seed must produce byte-identical logs and aggregates,
 # replaying a log (no re-simulation) must reproduce the live aggregates
@@ -142,7 +165,7 @@ fi
 grep -q "rejected" "$lint_tmp/turnstat_bad.log"
 grep -q "self-test ok" "$lint_tmp/turnstat_bad.log"
 
-echo "==> turnheal gate"
+gate "turnheal gate"
 # The online-reconfiguration gate: a short seeded chaos storm must soak
 # clean in both engines (sanitizer, delivered floor, a checker-validated
 # certificate for every epoch), two same-seed runs must produce
@@ -164,7 +187,7 @@ cargo run --offline --quiet -p turnroute-experiments --bin exp -- \
     chaos --quick --seed 7 --inject-bad --out "$lint_tmp/heal_bad" 2> /dev/null
 grep -q "self-test ok" "$lint_tmp/heal_bad/chaos.md"
 
-echo "==> turnscope gate"
+gate "turnscope gate"
 # The streaming-telemetry gate: the canonical recorded run seals
 # telemetry frames into the log, so exporting them twice must be
 # byte-identical and re-deriving frames + alerts from the raw event
@@ -195,7 +218,7 @@ cargo run --offline --quiet -p turnroute-experiments --bin exp -- \
     scope --quick --seed 7 --out "$lint_tmp/scope" 2> /dev/null
 grep -q '\*\*PASS\*\*' "$lint_tmp/scope/scope.md"
 
-echo "==> fault-injection group"
+gate "fault-injection group"
 # The fault subsystem's own gates, runnable in isolation: determinism and
 # degradation tests in both simulators, the sweep harness, and the
 # workspace deadlock-freedom-under-faults suite.
@@ -205,9 +228,9 @@ cargo test -p turnroute-experiments --offline --quiet faults
 cargo test -p turnroute --offline --quiet --test fault_tolerance
 
 if [[ $full -eq 1 ]]; then
-    echo "==> cargo build --release"
+    gate "cargo build --release"
     cargo build --workspace --release --offline
-    echo "==> exp smoke runs"
+    gate "exp smoke runs"
     tmp="$(mktemp -d)"
     trap 'rm -rf "$tmp" "$lint_tmp"' EXIT
     cargo run --release --offline -p turnroute-experiments --bin exp -- \
@@ -219,11 +242,17 @@ if [[ $full -eq 1 ]]; then
     test -s "$tmp/metrics.json"
     test -s "$tmp/fig1_postmortem.jsonl"
     test -s "$tmp/faults.csv"
-    echo "==> turnbench determinism"
+    gate "turnbench determinism"
     # Same seed, same work: an engine change that breaks same-seed
     # reproducibility of the benchmark's counters or simulated results
     # fails here.
     cargo test --release --offline --manifest-path turnbench/Cargo.toml
 fi
 
+end_gate
+echo "==> gate timings"
+for i in "${!gate_names[@]}"; do
+    printf '    %-45s %6ss\n' "${gate_names[$i]}" "${gate_secs[$i]}"
+done
+printf '    %-45s %6ss\n' "total" "$SECONDS"
 echo "OK"
